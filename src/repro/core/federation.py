@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
@@ -573,8 +575,14 @@ class FederatedSystem(_RoutingCore):
         self._partitions = fed.resolve_partitions()
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
+        # One model-update id counter for the whole cluster, drawn in event
+        # order by every cell (partitions included on the inline backend).
+        self._update_ids = itertools.count()
         builder = CellBuilder(
-            config=config, model_clocks=model_clocks, clock_model=clock_model
+            config=config,
+            model_clocks=model_clocks,
+            clock_model=clock_model,
+            update_ids=self._update_ids,
         )
         self.config = builder.resolve_config(trace)
         builder.config = self.config
@@ -1083,7 +1091,7 @@ class FederatedSystem(_RoutingCore):
         message exchange.
         """
         parts = [
-            _CellPartition(context, cell_ids, routed[p])
+            _CellPartition(context, cell_ids, routed[p], self._update_ids)
             for p, cell_ids in enumerate(assign)
         ]
         for part in parts:
@@ -1351,6 +1359,7 @@ class _CellPartition(_RoutingCore):
         context: _PartitionContext,
         cell_ids: list[int],
         queries: list[tuple[int, Query]],
+        update_ids: Iterator[int],
     ) -> None:
         self.context = context
         self.trace = context.trace
@@ -1361,6 +1370,7 @@ class _CellPartition(_RoutingCore):
             config=context.config,
             model_clocks=context.model_clocks,
             clock_model=context.clock_model,
+            update_ids=update_ids,
         )
         builder.config = context.config
         self.cells: list[FederatedCell] = []
@@ -1564,7 +1574,7 @@ def _partition_pool_run(
 ) -> _PartitionResult:
     context = _PARTITION_POOL_STATE["context"]
     cell_ids, queries = task
-    partition = _CellPartition(context, cell_ids, queries)
+    partition = _CellPartition(context, cell_ids, queries, itertools.count())
     partition.setup()
     partition.sim.run_until(context.horizon)
     return partition.finish()

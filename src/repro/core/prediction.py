@@ -13,6 +13,8 @@ Responsible for the three roles Section 3 assigns it:
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +41,15 @@ class Estimate:
 class PredictionEngine:
     """Per-sensor model management plus spatial correlation."""
 
-    def __init__(self, config: PrestoConfig, n_sensors: int) -> None:
+    def __init__(
+        self,
+        config: PrestoConfig,
+        n_sensors: int,
+        update_ids: Iterator[int] | None = None,
+    ) -> None:
         self.config = config
         self.n_sensors = int(n_sensors)
+        self.update_ids = update_ids if update_ids is not None else itertools.count()
         self._models: dict[int, TimeSeriesModel] = {}
         self._spatial: MultivariateGaussianModel | None = None
         self.refits = 0
@@ -101,6 +109,7 @@ class PredictionEngine:
         return ModelUpdate(
             model=model,
             delta=self.config.push_delta if delta is None else float(delta),
+            update_id=next(self.update_ids),
         )
 
     def model_for(self, sensor: int) -> TimeSeriesModel | None:

@@ -13,6 +13,7 @@ grace period so an in-flight push is not preempted by a silent advance).
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,7 @@ class PrestoProxy:
         network: Network,
         meter: EnergyMeter,
         n_sensors: int,
+        update_ids: Iterator[int] | None = None,
     ) -> None:
         self.name = name
         self.config = config
@@ -87,7 +89,7 @@ class PrestoProxy:
         self.meter = meter
         self.n_sensors = int(n_sensors)
         self.cache = SummaryCache(config.cache_entries_per_sensor)
-        self.engine = PredictionEngine(config, n_sensors)
+        self.engine = PredictionEngine(config, n_sensors, update_ids)
         self.matcher = QuerySensorMatcher(config)
         self.sync = TimeSyncProtocol()
         self._states: dict[int, _SensorState] = {
@@ -361,7 +363,10 @@ class PrestoProxy:
             return False
         activation = self.current_epoch() + ACTIVATION_LAG_EPOCHS
         update = ModelUpdate(
-            model=update.model, delta=update.delta, activation_epoch=activation
+            model=update.model,
+            delta=update.delta,
+            activation_epoch=activation,
+            update_id=next(self.engine.update_ids),
         )
         name = self.sensor_name(sensor)
         packet = Packet(

@@ -20,12 +20,9 @@ is pushed, no matter how unusual.
 from __future__ import annotations
 
 import copy
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.timeseries.base import TimeSeriesModel
-
-_update_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -38,12 +35,17 @@ class ModelUpdate:
     ``activation_epoch`` makes the switchover race-free: both sides keep
     running the old model (or cold-start push-everything mode) until that
     epoch, so a slow LPL downlink cannot desynchronise the replicas.
+
+    ``update_id`` comes from the issuing system's counter (see
+    :class:`repro.core.prediction.PredictionEngine`), so ids — and the
+    replica-sync payloads that pickle them — do not depend on earlier runs
+    in the same process.  Updates built standalone default to 0.
     """
 
     model: TimeSeriesModel
     delta: float
     activation_epoch: int = 0
-    update_id: int = field(default_factory=lambda: next(_update_ids))
+    update_id: int = 0
 
     @property
     def parameter_bytes(self) -> int:

@@ -13,6 +13,8 @@ single-cell wrapper that every existing benchmark uses.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,6 +229,7 @@ class PrestoCell:
         proxy_name: str = "proxy",
         model_clocks: bool = False,
         clock_model: ClockModel | None = None,
+        update_ids: Iterator[int] | None = None,
     ) -> None:
         self.trace = trace
         self.config = config
@@ -255,6 +258,7 @@ class PrestoCell:
             network=self.network,
             meter=self.proxy_meter,
             n_sensors=trace.n_sensors,
+            update_ids=update_ids,
         )
         self.network.register_proxy(
             NetworkNode(proxy_name, self.proxy_meter, on_receive=self.proxy.on_receive)
@@ -463,14 +467,16 @@ class CellBuilder:
     """Reusable recipe for stamping out :class:`PrestoCell` instances.
 
     The builder carries everything that is common across cells of one
-    deployment (the PRESTO config and clock modelling); :meth:`build` takes
-    what varies per cell — the trace shard, the shared simulator, the cell's
-    own random streams, and the proxy name.
+    deployment (the PRESTO config, clock modelling and the model-update id
+    counter its cells share); :meth:`build` takes what varies per cell — the
+    trace shard, the shared simulator, the cell's own random streams, and
+    the proxy name.
     """
 
     config: PrestoConfig | None = None
     model_clocks: bool = False
     clock_model: ClockModel | None = field(default=None)
+    update_ids: Iterator[int] = field(default_factory=itertools.count)
 
     def resolve_config(self, trace: TraceSet) -> PrestoConfig:
         """The PRESTO config to use for *trace* (defaults to its epoch)."""
@@ -492,6 +498,7 @@ class CellBuilder:
             proxy_name=proxy_name,
             model_clocks=self.model_clocks,
             clock_model=self.clock_model,
+            update_ids=self.update_ids,
         )
 
 

@@ -6,11 +6,19 @@ process; each query picks a sensor by a Zipf popularity law (users care
 about a few hot spots), is NOW or PAST per a configured mix, and carries the
 precision and latency requirements that PRESTO's query–sensor matching
 consumes (Section 3).
+
+Every categorical draw (kind, shard, sensor) bisects a CDF built once at
+construction, exactly as ``Generator.choice(k, p=w)`` would build and
+search it per call, so the stream is identical to per-draw ``choice`` at a
+fraction of the cost; config errors ``choice`` used to catch at draw time
+are raised at construction instead.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,17 +76,53 @@ class QueryWorkloadConfig:
     past_horizon_s: float = 86_400.0         # how far back PAST queries reach
     window_s: float = 3_600.0                # PAST_RANGE/AGG window length
 
-    def __post_init__(self) -> None:
-        fractions = (
-            self.now_fraction
-            + self.past_point_fraction
-            + self.past_range_fraction
-            + self.past_agg_fraction
+    @property
+    def mix(self) -> tuple[float, float, float, float]:
+        """Kind fractions in :class:`QueryKind` order."""
+        return (
+            self.now_fraction,
+            self.past_point_fraction,
+            self.past_range_fraction,
+            self.past_agg_fraction,
         )
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(f) and f >= 0 for f in self.mix):
+            raise ValueError(f"query-mix fractions must be finite and >= 0, got {self.mix}")
+        fractions = sum(self.mix)
         if abs(fractions - 1.0) > 1e-9:
             raise ValueError(f"query-mix fractions sum to {fractions}, expected 1.0")
-        if self.arrival_rate_per_s <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not (math.isfinite(self.arrival_rate_per_s) and self.arrival_rate_per_s > 0):
+            raise ValueError("arrival rate must be finite and positive")
+        if not math.isfinite(self.zipf_exponent):
+            raise ValueError(f"zipf exponent must be finite, got {self.zipf_exponent}")
+        if not self.past_horizon_s >= 0:
+            raise ValueError(f"past horizon must be >= 0, got {self.past_horizon_s}")
+        windowed = self.past_range_fraction + self.past_agg_fraction
+        if windowed > 0 and not self.window_s > 0:
+            raise ValueError(f"window queries need a positive window, got {self.window_s}")
+
+
+def _cdf(weights: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(k, p=weights)`` searches, as a list.
+
+    ``bisect_right(cdf, rng.random())`` then consumes the same double and
+    returns the same index as ``choice``'s ``searchsorted(side="right")``,
+    zero-weight entries included.
+    """
+    cdf = np.asarray(weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _zipf_cdf(n: int, exponent: float) -> list[float]:
+    """CDF of the Zipf popularity law over ranks ``1..n``."""
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    weights = ranks ** (-exponent)
+    return _cdf(weights / weights.sum())
+
+
+_KINDS = tuple(QueryKind)
 
 
 class QueryWorkloadGenerator:
@@ -97,16 +141,12 @@ class QueryWorkloadGenerator:
         # explicit deterministic fallback so an unseeded workload replays
         # identically across runs (seed 0 = the library default stream)
         self._rng = rng if rng is not None else seeded_rng(0)
-        self._zipf_weights = self._make_zipf_weights()
-
-    def _make_zipf_weights(self) -> np.ndarray:
-        ranks = np.arange(1, self.n_sensors + 1, dtype=np.float64)
-        weights = ranks ** (-self.config.zipf_exponent)
-        return weights / weights.sum()
+        self._zipf_cdf = _zipf_cdf(self.n_sensors, self.config.zipf_exponent)
+        self._kind_cdf = _cdf(np.asarray(self.config.mix))
 
     def _draw_sensor(self, rng: np.random.Generator) -> int:
         """Pick the target sensor of one query (Zipf over the deployment)."""
-        return int(rng.choice(self.n_sensors, p=self._zipf_weights))
+        return bisect.bisect_right(self._zipf_cdf, rng.random())
 
     def generate(self, start_s: float, end_s: float) -> list[Query]:
         """All queries arriving in ``[start_s, end_s)``, time-ordered.
@@ -114,41 +154,28 @@ class QueryWorkloadGenerator:
         PAST queries target instants up to ``past_horizon_s`` before their
         arrival (never before t=0), so early queries reach shallower history.
         """
-        if end_s <= start_s:
-            raise ValueError(f"empty interval [{start_s}, {end_s})")
+        if not 0.0 <= start_s < end_s < math.inf:
+            raise ValueError(f"need a finite interval [{start_s}, {end_s}) at t >= 0")
         cfg = self.config
         rng = self._rng
+        kind_cdf = self._kind_cdf
         queries: list[Query] = []
         time = start_s
         query_id = 0
-        kinds = (
-            QueryKind.NOW,
-            QueryKind.PAST_POINT,
-            QueryKind.PAST_RANGE,
-            QueryKind.PAST_AGG,
-        )
-        mix = np.asarray(
-            [
-                cfg.now_fraction,
-                cfg.past_point_fraction,
-                cfg.past_range_fraction,
-                cfg.past_agg_fraction,
-            ]
-        )
         while True:
             time += rng.exponential(1.0 / cfg.arrival_rate_per_s)
             if time >= end_s:
                 break
-            kind = kinds[int(rng.choice(len(kinds), p=mix))]
+            kind = _KINDS[bisect.bisect_right(kind_cdf, rng.random())]
             sensor = self._draw_sensor(rng)
             precision = cfg.precision * (
-                1.0 + cfg.precision_jitter * float(rng.uniform(-1.0, 1.0))
+                1.0 + cfg.precision_jitter * (2.0 * rng.random() - 1.0)
             )
             if kind is QueryKind.NOW:
                 target = time
                 window = 0.0
             else:
-                lookback = float(rng.uniform(0.0, min(cfg.past_horizon_s, time)))
+                lookback = min(cfg.past_horizon_s, time) * rng.random()
                 target = max(time - lookback, 0.0)
                 window = cfg.window_s if kind in (
                     QueryKind.PAST_RANGE, QueryKind.PAST_AGG
@@ -206,19 +233,16 @@ class ShardedWorkloadGenerator(QueryWorkloadGenerator):
             if len(shard_weights) != len(shards):
                 raise ValueError("one weight per shard required")
             weights = np.asarray(shard_weights, dtype=np.float64)
-            if (weights < 0).any() or weights.sum() <= 0:
-                raise ValueError("shard weights must be non-negative, sum > 0")
+            if not np.isfinite(weights).all() or (weights < 0).any() or weights.sum() <= 0:
+                raise ValueError("shard weights must be finite, non-negative, sum > 0")
             weights = weights / weights.sum()
-        self._shard_weights = weights
-        exponent = self.config.zipf_exponent
-        self._within: list[np.ndarray] = []
-        for shard in self._shards:
-            ranks = np.arange(1, len(shard) + 1, dtype=np.float64)
-            zipf = ranks ** (-exponent)
-            self._within.append(zipf / zipf.sum())
+        self._shard_cdf = _cdf(weights)
+        self._within = [
+            _zipf_cdf(len(shard), self.config.zipf_exponent) for shard in self._shards
+        ]
 
     def _draw_sensor(self, rng: np.random.Generator) -> int:
         """Shard by weight, then Zipf rank within the shard."""
-        shard = int(rng.choice(len(self._shards), p=self._shard_weights))
-        rank = int(rng.choice(len(self._shards[shard]), p=self._within[shard]))
+        shard = bisect.bisect_right(self._shard_cdf, rng.random())
+        rank = bisect.bisect_right(self._within[shard], rng.random())
         return int(self._shards[shard][rank])

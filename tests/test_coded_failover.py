@@ -36,15 +36,17 @@ def make_trace():
     return IntelLabGenerator(config, seed=7).generate()
 
 
-def fast_config():
+def fast_config(refit_interval_s=3 * 3600.0):
     return PrestoConfig(
         sample_period_s=31.0,
-        refit_interval_s=3 * 3600.0,
+        refit_interval_s=refit_interval_s,
         min_training_epochs=128,
     )
 
 
-def run_federated(replica_coding, partitions=None, backend="inline"):
+def run_federated(
+    replica_coding, partitions=None, backend="inline", refit_interval_s=3 * 3600.0
+):
     """One pinned-seed run; ``full`` uses the survivability-equivalent
     replication factor n - k + 1 so both modes ride out the same losses."""
     trace = make_trace()
@@ -58,7 +60,10 @@ def run_federated(replica_coding, partitions=None, backend="inline"):
         partition_backend=backend,
     )
     system = FederatedSystem(
-        trace, config=fast_config(), federation=federation, seed=3
+        trace,
+        config=fast_config(refit_interval_s),
+        federation=federation,
+        seed=3,
     )
     generator = ShardedWorkloadGenerator(
         [list(shard) for shard in system.shards],
@@ -171,3 +176,31 @@ class TestCodedPartitionEquivalence:
             assert getattr(split.coding, field) == getattr(
                 legacy.coding, field
             ), field
+
+
+class TestInProcessRepeatability:
+    """Model-update ids belong to the system, not the process.
+
+    Replica-sync payloads pickle the replicated trackers, update id
+    included, so ids drawn from a process-global counter made coded byte
+    counts depend on how many updates earlier runs in the same process had
+    issued.  Half-hour refits issue a few hundred ids per run, enough to
+    cross a pickle integer-width boundary between consecutive runs.
+    """
+
+    #: (payload, shipped, full-copy) bytes of a fresh-interpreter run
+    FRESH_BYTES = (39012, 58518, 78024)
+
+    def test_repeated_runs_ship_identical_bytes(self):
+        runs = [
+            run_federated("rs", refit_interval_s=1800.0),
+            run_federated("rs", refit_interval_s=1800.0),
+            run_federated("rs", partitions=2, refit_interval_s=1800.0),
+        ]
+        for report in runs:
+            coding = report.coding
+            assert (
+                coding.payload_bytes, coding.shipped_bytes, coding.full_copy_bytes
+            ) == self.FRESH_BYTES
+            assert coding.sync_radio_j == runs[0].coding.sync_radio_j
+            assert coding.sync_flash_j == runs[0].coding.sync_flash_j

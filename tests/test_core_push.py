@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.config import PrestoConfig
+from repro.core.prediction import PredictionEngine
 from repro.core.push import (
     ModelUpdate,
     ProxyModelTracker,
@@ -141,10 +143,15 @@ class TestModelUpdate:
         assert update.parameter_bytes == model.parameter_bytes + 4
 
     def test_update_ids_unique(self):
-        model, _ = fitted_model()
-        a = ModelUpdate(model=model, delta=1.0)
-        b = ModelUpdate(model=model, delta=1.0)
-        assert a.update_id != b.update_id
+        """Ids are unique per issuing counter and independent of history."""
+        _, x = fitted_model()
+        times = np.arange(x.size) * 30.0
+        config = PrestoConfig(sample_period_s=30.0, model_kind="ar")
+        for _ in range(2):
+            engine = PredictionEngine(config, n_sensors=2)
+            a = engine.refit(0, x, times)
+            b = engine.refit(1, x, times)
+            assert (a.update_id, b.update_id) == (0, 1)
 
     def test_checker_does_not_alias_update_model(self):
         """The checker must deep-copy: sensor-side observations must never
