@@ -102,7 +102,8 @@ class TestWorkloadConfig:
             now_fraction=0.5, past_point_fraction=0.5,
             past_range_fraction=0.0, past_agg_fraction=0.0, window_s=0.0,
         )
-        assert config.window_s == 0.0
+        queries = QueryWorkloadGenerator(3, config).generate(0.0, 100_000.0)
+        assert queries and all(q.window_s == 0.0 for q in queries)
 
     @pytest.mark.parametrize("interval", [(-1.0, 10.0), (NAN, 10.0), (0.0, NAN), (0.0, INF)])
     def test_bad_interval_rejected(self, interval):
