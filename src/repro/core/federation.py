@@ -31,6 +31,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import itertools
+import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -752,15 +753,27 @@ class FederatedSystem(_RoutingCore):
                 f"unknown proxy {proxy_name!r}; have {self.proxy_names}"
             )
 
+    @staticmethod
+    def _fault_time(at_s: float) -> float:
+        """*at_s* as a float, rejecting NaN, infinite and negative times.
+
+        Finite times at or past the run horizon stay legal: they are
+        accepted here and simply never fire.
+        """
+        at = float(at_s)
+        if not math.isfinite(at) or at < 0.0:
+            raise ValueError(f"fault time must be finite and >= 0, got {at_s!r}")
+        return at
+
     def schedule_failure(self, proxy_name: str, at_s: float) -> None:
         """Kill *proxy_name* at virtual time *at_s* during :meth:`run`."""
         self._validate_proxy(proxy_name)
-        self._failures.append((float(at_s), proxy_name))
+        self._failures.append((self._fault_time(at_s), proxy_name))
 
     def schedule_recovery(self, proxy_name: str, at_s: float) -> None:
         """Recover *proxy_name* at virtual time *at_s* during :meth:`run`."""
         self._validate_proxy(proxy_name)
-        self._recoveries.append((float(at_s), proxy_name))
+        self._recoveries.append((self._fault_time(at_s), proxy_name))
 
     def schedule_link_change(
         self,
@@ -777,6 +790,7 @@ class FederatedSystem(_RoutingCore):
         pre-run schedule on the shared kernel).  ``cell_indices=None``
         targets every cell.
         """
+        at = self._fault_time(at_s)
         cells = tuple(int(c) for c in cell_indices) if cell_indices is not None else None
         if cells is not None:
             for cell_id in cells:
@@ -789,13 +803,13 @@ class FederatedSystem(_RoutingCore):
                 if cells is None or fc.cell_id in cells
             ]
             self.sim.schedule(
-                float(at_s),
+                at,
                 lambda nets=targets, cfg=link_config: [
                     net.set_link_config_all(cfg) for net in nets
                 ],
             )
         else:
-            self._link_events.append((float(at_s), link_config, cells))
+            self._link_events.append((at, link_config, cells))
 
     # -- replication ----------------------------------------------------------------
 

@@ -12,6 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy 2.x loads ``numpy.random`` lazily on first attribute access.  Load it
+# with the module that owns the streams, so its import cost lands at start-up
+# rather than inside the first system build.
+import numpy.random  # noqa: F401
+
 
 class RandomStreams:
     """Registry of independent :class:`numpy.random.Generator` streams.

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from repro.timeseries.base import (
     Forecast,
@@ -34,11 +33,71 @@ def autocovariance(values: np.ndarray, max_lag: int) -> np.ndarray:
     return gamma
 
 
+def _solve_symmetric_toeplitz(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``T x = rhs`` for the symmetric Toeplitz ``T`` with first column *column*.
+
+    Levinson recursion (after Alan Miller's public-domain ``toeplitz.f90``)
+    in plain Python floats.  The operation order is kept exactly, so the
+    solution is bit-identical to the reference compiled solver that
+    ``tests/test_ar.py`` checks it against.  Raises
+    :class:`numpy.linalg.LinAlgError` on a singular principal minor.
+    """
+    c = [float(v) for v in column]
+    b = [float(v) for v in rhs]
+    n = len(b)
+    # The matrix diagonals, last row first: a[n - 1] is the main diagonal.
+    a = c[:0:-1] + c
+    if a[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("Singular principal minor")
+    x = [0.0] * n
+    x[0] = b[0] / a[n - 1]
+    if n == 1:
+        return np.asarray(x, dtype=np.float64)
+    g = [0.0] * n
+    h = [0.0] * n
+    g[0] = a[n - 2] / a[n - 1]
+    h[0] = a[n] / a[n - 1]
+    for m in range(1, n):
+        x_num = -b[m]
+        x_den = -a[n - 1]
+        for j in range(m):
+            diagonal = a[n + m - j - 1]
+            x_num = x_num + diagonal * x[j]
+            x_den = x_den + diagonal * g[m - j - 1]
+        if x_den == 0.0:
+            raise np.linalg.LinAlgError("Singular principal minor")
+        x[m] = x_num / x_den
+        for j in range(m):
+            x[j] = x[j] - x[m] * g[m - j - 1]
+        if m == n - 1:
+            break
+        g_num = -a[n - m - 2]
+        h_num = -a[n + m]
+        g_den = -a[n - 1]
+        for j in range(m):
+            g_num = g_num + a[n + j - m - 1] * g[j]
+            h_num = h_num + a[n + m - j - 1] * h[j]
+            g_den = g_den + a[n + j - m - 1] * h[m - j - 1]
+        if g_den == 0.0:
+            raise np.linalg.LinAlgError("Singular principal minor")
+        g[m] = g_m = g_num / g_den
+        h[m] = h_m = h_num / x_den
+        k = m - 1
+        for j in range((m + 1) >> 1):
+            g_j, g_k, h_j, h_k = g[j], g[k], h[j], h[k]
+            g[j] = g_j - g_m * h_k
+            g[k] = g_k - g_m * h_j
+            h[j] = h_j - h_m * g_k
+            h[k] = h_k - h_m * g_j
+            k -= 1
+    return np.asarray(x, dtype=np.float64)
+
+
 def fit_ar_yule_walker(values: np.ndarray, order: int) -> tuple[np.ndarray, float]:
     """Solve the Yule–Walker equations for AR(*order*).
 
-    Returns ``(coefficients, innovation_variance)``.  Uses the Levinson-type
-    Toeplitz solver from scipy for numerical stability.
+    Returns ``(coefficients, innovation_variance)``.  The Toeplitz system is
+    solved by Levinson recursion (:func:`_solve_symmetric_toeplitz`).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -46,9 +105,9 @@ def fit_ar_yule_walker(values: np.ndarray, order: int) -> tuple[np.ndarray, floa
     if gamma[0] <= 0:
         # Constant series: no dynamics to fit.
         return np.zeros(order, dtype=np.float64), 0.0
-    coeffs = solve_toeplitz(gamma[:order], gamma[1 : order + 1])
+    coeffs = _solve_symmetric_toeplitz(gamma[:order], gamma[1 : order + 1])
     variance = float(gamma[0] - np.dot(coeffs, gamma[1 : order + 1]))
-    return np.asarray(coeffs, dtype=np.float64), max(variance, 0.0)
+    return coeffs, max(variance, 0.0)
 
 
 def fit_ar_ols(values: np.ndarray, order: int) -> tuple[np.ndarray, float, float]:

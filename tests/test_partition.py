@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.federation import FederatedSystem, partition_cells
+from repro.radio.link import LinkConfig
 from repro.serving import ServingConfig
 from repro.simulation.kernel import (
     LockstepGroup,
@@ -245,3 +246,37 @@ class TestLockstepKernel:
         group = LockstepGroup([Simulator()])
         with pytest.raises(SimulationError):
             group.run([5.0, 5.0])
+
+
+class TestFaultTimeValidation:
+    """Fault times are checked when scheduled, identically on both kernels."""
+
+    def make_system(self, partitions):
+        federation = FederationConfig(
+            n_proxies=4, replication_factor=1, partitions=partitions
+        )
+        return FederatedSystem(
+            make_trace(), config=fast_config(), federation=federation, seed=3
+        )
+
+    @pytest.mark.parametrize("partitions", [None, 2])
+    @pytest.mark.parametrize("at_s", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_bad_fault_times_rejected_at_call(self, partitions, at_s):
+        system = self.make_system(partitions)
+        with pytest.raises(ValueError, match="fault time"):
+            system.schedule_failure("proxy1", at_s)
+        with pytest.raises(ValueError, match="fault time"):
+            system.schedule_recovery("proxy1", at_s)
+        with pytest.raises(ValueError, match="fault time"):
+            system.schedule_link_change(at_s, LinkConfig(loss_probability=0.5))
+
+    @pytest.mark.parametrize("partitions", [None, 2])
+    def test_fault_past_horizon_is_accepted_and_never_fires(self, partitions):
+        late = self.make_system(partitions)
+        late.schedule_failure("proxy1", 10 * DURATION_S)
+        late.schedule_link_change(10 * DURATION_S, LinkConfig(loss_probability=0.9))
+        baseline = self.make_system(partitions).run([], duration_s=DURATION_S)
+        # repr: the failover error fields are NaN when nothing failed over
+        assert repr(report_key(late.run([], duration_s=DURATION_S))) == repr(
+            report_key(baseline)
+        )
