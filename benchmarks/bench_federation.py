@@ -124,7 +124,7 @@ class TestFailover:
             system, report = run_federation(
                 trace, federation, kill="proxy3", kill_at=kill_at
             )
-            dead = set(system.cell_for("proxy3").sensor_ids)
+            dead = set(system.shards[system.proxy_names.index("proxy3")])
             post = [
                 a
                 for a in report.answers

@@ -54,10 +54,9 @@ def main() -> None:
         seed=52,
     )
     print("campus shard map:")
-    for fc in system.cells:
-        tier = "wired" if fc.wired else "802.11 mesh"
-        print(f"  building {fc.cell_id}: {fc.name} ({tier}), "
-              f"sensors {fc.sensor_ids}")
+    for building, (name, shard) in enumerate(zip(system.proxy_names, system.shards)):
+        tier = "wired" if system.directory.proxy(name).wired else "802.11 mesh"
+        print(f"  building {building}: {name} ({tier}), sensors {shard}")
     print(f"replication plan: {system.replication_plan}")
 
     workload = ShardedWorkloadGenerator(
@@ -66,7 +65,7 @@ def main() -> None:
         np.random.default_rng(53),
     )
     queries = workload.generate(3600.0, DURATION_S)
-    mesh_proxy = system.cells[-1].name
+    mesh_proxy = system.proxy_names[-1]
     system.schedule_failure(mesh_proxy, OUTAGE_S)
     report = system.run(queries=queries)
 
@@ -77,7 +76,7 @@ def main() -> None:
     print(f"fleet energy: {report.sensor_energy_per_day_j:.2f} J/sensor-day "
           f"across {report.n_proxies} cells")
 
-    dead = set(system.cell_for(mesh_proxy).sensor_ids)
+    dead = set(system.shards[-1])
     post = [
         a
         for a in report.answers

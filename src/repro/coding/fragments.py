@@ -133,7 +133,7 @@ class FragmentStore:
     *assignment* maps each owner to its n fragment host slots (entry i
     hosts fragment i; hosts repeat only when the wired pool is smaller
     than n).  The store is deliberately directory-agnostic: callers pass
-    a liveness predicate so the same store serves the shared kernel and
+    a liveness predicate so the same store serves the coordinator and
     a partition's local directory copy.
     """
 

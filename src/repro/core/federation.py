@@ -10,12 +10,12 @@ as one harness:
 * :func:`partition_sensors` shards a deployment trace across N proxies
   (contiguous/spatial blocks, round-robin, or variance-balanced);
 * every cell is stamped out by :class:`~repro.core.system.CellBuilder` and
-  runs either on **one shared simulator** (``FederationConfig.partitions is
-  None``, the original harness) or split across **independent simulation
-  partitions** (``partitions >= 1``, or ``0`` for one per core) that
-  exchange cross-cell state — replica snapshots, directory liveness,
-  routed queries — only at barrier instants, in-process (lockstep windows)
-  or across a ``ProcessPoolExecutor``;
+  runs in one of ``FederationConfig.partitions`` **independent simulation
+  partitions** (``0`` for one per core).  No partition reads another's
+  state: queries are pre-routed to their owner's partition and the fault
+  timeline is replayed on every partition's directory copy, so each one
+  runs its whole horizon alone, in-process or on a
+  ``ProcessPoolExecutor``;
 * query routing resolves the owning proxy through a skip graph over
   contiguous ownership runs (O(log P) hops, counted and charged as routing
   latency) and consults the :class:`~repro.index.directory.CacheDirectory`
@@ -30,10 +30,8 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import itertools
 import math
 import os
-from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
@@ -42,6 +40,7 @@ import numpy as np
 from repro.coding import CodingCounters, CodingReport, FragmentStore, serialize_payload
 from repro.core.cache import CacheSnapshot
 from repro.core.config import FederationConfig, PrestoConfig
+from repro.core.continuous import ContinuousQuery, Notification
 from repro.core.push import ProxyModelTracker
 from repro.core.queries import AnswerSource, QueryAnswer
 from repro.core.system import CellBuilder, PrestoCell, SystemReport, ground_truth
@@ -50,7 +49,7 @@ from repro.index.skipgraph import SkipGraph
 from repro.radio.link import LinkConfig
 from repro.serving.config import ServingConfig, ServingReport
 from repro.serving.frontend import BackendSegments, ServingFrontend
-from repro.simulation.kernel import LockstepGroup, Simulator, barrier_schedule
+from repro.simulation.kernel import Simulator
 from repro.simulation.process import PeriodicTask
 from repro.simulation.randomness import RandomStreams
 from repro.sync.clock import ClockModel
@@ -140,8 +139,6 @@ class FederatedCell:
     cell_id: int
     cell: PrestoCell
     sensor_ids: list[int]          # sorted global ids; local i <-> sensor_ids[i]
-    wired: bool
-    response_latency_s: float
 
     @property
     def name(self) -> str:
@@ -276,15 +273,16 @@ class FederatedReport(SystemReport):
 class _RoutingCore:
     """Directory-routed query answering shared by the coordinator and partitions.
 
-    Both :class:`FederatedSystem` (legacy shared-kernel mode) and
-    :class:`_CellPartition` (one partition of a partitioned run) expose the
-    same member names — ``federation``, ``config``, ``trace``, ``sim``,
+    Both :class:`FederatedSystem` (the coordinator) and
+    :class:`_CellPartition` (one simulation partition) expose the same
+    member names — ``federation``, ``config``, ``trace``, ``sim``,
     ``directory``, ``_owners``, ``_by_name``, ``_replicas``,
     ``replication_plan``, the routing counters and ``_query_log`` — so one
     implementation of routing, failover answering and replica syncing
-    serves both.  In a partition, ``_by_name`` holds only the locally-built
-    cells and every query is pre-routed to its owner's partition, so the
-    owner (or its replicas' metadata) is always resolvable locally.
+    serves both.  The coordinator builds no cells (its ``_by_name`` is
+    empty); a partition's ``_by_name`` holds only its own cells, and every
+    query is pre-routed to its owner's partition, so the owner (or its
+    replicas' metadata) is always resolvable locally.
     """
 
     # -- replication ----------------------------------------------------------------
@@ -540,6 +538,55 @@ class _RoutingCore:
         return value, worst_std, source
 
 
+def _plan_directory(
+    federation: FederationConfig,
+    cell_meta: list[_CellMeta],
+    shards: list[list[int]],
+) -> tuple[CacheDirectory, dict[str, list[str]]]:
+    """The cluster's cache directory and its replication (or fragment) plan.
+
+    Planning records replica hosts in the directory, so the coordinator and
+    every partition each plan on their own copy; the spread is
+    deterministic, so every copy holds the same plan.
+    """
+    directory = CacheDirectory(replication_factor=federation.replication_factor)
+    for meta in cell_meta:
+        directory.register_proxy(
+            meta.name, wired=meta.wired, response_latency_s=meta.response_latency_s
+        )
+        directory.publish_cache(meta.name, set(shards[meta.cell_id]))
+    if federation.replica_coding == "rs":
+        plan = directory.plan_fragment_placement(
+            federation.coding_k, federation.coding_n
+        )
+    else:
+        plan = directory.plan_replication()
+    return directory, plan
+
+
+def _ownership(
+    shards: list[list[int]], cell_meta: list[_CellMeta], seed: int
+) -> tuple[dict[int, str], SkipGraph]:
+    """Flat sensor -> owner map plus the skip graph routing over it.
+
+    The skip graph has one node per contiguous run of sensors owned by the
+    same proxy, so "who owns sensor s" is a floor search — O(log P) for
+    contiguous shards, never a dict scan.  It draws from the seed's
+    ``federation.skipgraph`` stream, so the coordinator and every partition
+    hold graphs with identical structure and hop counts.
+    """
+    owner_of = {
+        sensor: cell_meta[cell_id].name
+        for cell_id, ids in enumerate(shards)
+        for sensor in ids
+    }
+    owners = SkipGraph(rng=RandomStreams(seed=seed).get("federation.skipgraph"))
+    for sensor in range(len(owner_of)):
+        if sensor == 0 or owner_of[sensor] != owner_of[sensor - 1]:
+            owners.insert(float(sensor), owner_of[sensor])
+    return owner_of, owners
+
+
 class FederatedSystem(_RoutingCore):
     """A cluster of PRESTO cells behind one directory-routed query front.
 
@@ -553,6 +600,10 @@ class FederatedSystem(_RoutingCore):
     is what a recovered proxy resumes with), but queries can no longer reach
     it — they fail over to the lowest-latency wired proxy holding a replica,
     which answers **only** from the state replicated before the failure.
+
+    The cells themselves are built and run inside the simulation partitions
+    at :meth:`run` time; this object is the coordinator that plans, routes
+    queries to partitions and merges their results.
     """
 
     def __init__(
@@ -573,20 +624,10 @@ class FederatedSystem(_RoutingCore):
         self.model_clocks = model_clocks
         self.clock_model = clock_model
         self.serving = serving
-        self._partitions = fed.resolve_partitions()
+        self.n_partitions = fed.resolve_partitions()
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
-        # One model-update id counter for the whole cluster, drawn in event
-        # order by every cell (partitions included on the inline backend).
-        self._update_ids = itertools.count()
-        builder = CellBuilder(
-            config=config,
-            model_clocks=model_clocks,
-            clock_model=clock_model,
-            update_ids=self._update_ids,
-        )
-        self.config = builder.resolve_config(trace)
-        builder.config = self.config
+        self.config = CellBuilder(config=config).resolve_config(trace)
         self._cell_meta = [
             _CellMeta(
                 cell_id=cell_id,
@@ -600,75 +641,24 @@ class FederatedSystem(_RoutingCore):
             )
             for cell_id in range(fed.n_proxies)
         ]
-        self.cells: list[FederatedCell] = []
-        if self._partitions is None:
-            # Legacy shared-kernel mode: every cell lives on self.sim.  In
-            # partitioned mode cells are built inside their partitions at
-            # run() time instead (same builder inputs, so identical cells).
-            for cell_id, ids in enumerate(self.shards):
-                cell = builder.build(
-                    trace.subset(ids),
-                    self.sim,
-                    RandomStreams(seed=seed + cell_id),
-                    proxy_name=f"proxy{cell_id}",
-                )
-                meta = self._cell_meta[cell_id]
-                self.cells.append(
-                    FederatedCell(
-                        cell_id=cell_id,
-                        cell=cell,
-                        sensor_ids=list(ids),
-                        wired=meta.wired,
-                        response_latency_s=meta.response_latency_s,
-                    )
-                )
-        self._by_name = {fc.name: fc for fc in self.cells}
+        self._by_name: dict[str, FederatedCell] = {}
 
-        # Cluster-wide cache placement and replication planning.
-        self.directory = CacheDirectory(replication_factor=fed.replication_factor)
-        for meta in self._cell_meta:
-            self.directory.register_proxy(
-                meta.name, wired=meta.wired, response_latency_s=meta.response_latency_s
-            )
-            self.directory.publish_cache(meta.name, set(self.shards[meta.cell_id]))
+        # Cluster-wide cache placement and replication planning.  Replicas
+        # and fragments are owner-local to the partitions; the inline
+        # backend absorbs them into this view after each partition runs.
+        self.directory, self.replication_plan = _plan_directory(
+            fed, self._cell_meta, self.shards
+        )
         self._coding = CodingCounters()
-        if fed.replica_coding == "rs":
-            self.replication_plan = self.directory.plan_fragment_placement(
-                fed.coding_k, fed.coding_n
-            )
-            self._replicas: dict[tuple[str, str], ProxyReplica] = {}
-            # The coordinator's store covers the whole plan in legacy mode;
-            # in partitioned mode it starts empty and the inline backend
-            # absorbs the partitions' owner-local fragments at barriers.
-            self._fragments: FragmentStore | None = FragmentStore(
-                fed.coding_k, fed.coding_n, self.replication_plan
-            )
-        else:
-            self.replication_plan = self.directory.plan_replication()
-            self._fragments = None
-            self._replicas = (
-                {
-                    (host, owner): ProxyReplica(owner=owner, host=host)
-                    for owner, hosts in self.replication_plan.items()
-                    for host in hosts
-                }
-                if self._partitions is None
-                else {}
-            )
-
-        # Ownership lookup: one skip-graph node per contiguous run of sensors
-        # owned by the same proxy, so "who owns sensor s" is a floor search —
-        # O(log P) for contiguous shards, never a dict scan.  The flat map is
-        # kept for hop-free pre-routing of queries to partitions.
-        self._owner_map = {
-            sensor: self._cell_meta[cell_id].name
-            for cell_id, ids in enumerate(self.shards)
-            for sensor in ids
-        }
-        self._owners = SkipGraph(rng=self.streams.get("federation.skipgraph"))
-        for sensor in range(trace.n_sensors):
-            if sensor == 0 or self._owner_map[sensor] != self._owner_map[sensor - 1]:
-                self._owners.insert(float(sensor), self._owner_map[sensor])
+        self._replicas: dict[tuple[str, str], ProxyReplica] = {}
+        self._fragments: FragmentStore | None = (
+            FragmentStore(fed.coding_k, fed.coding_n, self.replication_plan)
+            if fed.replica_coding == "rs"
+            else None
+        )
+        self._owner_map, self._owners = _ownership(
+            self.shards, self._cell_meta, self.seed
+        )
 
         self.cross_proxy_hops = 0
         self.replica_hits = 0
@@ -676,12 +666,15 @@ class FederatedSystem(_RoutingCore):
         self.unroutable = 0
         self.replica_syncs = 0
         self.failover_events: list[FailoverEvent] = []
+        #: (global sensor, notification) pairs of the standing queries, in
+        #: cell order — filled by :meth:`run`
+        self.notifications: list[tuple[int, Notification]] = []
         self._query_log: list[tuple[Query, QueryAnswer]] = []
         self._failover_positions: list[int] = []
         self._failures: list[tuple[float, str]] = []
         self._recoveries: list[tuple[float, str]] = []
         self._link_events: list[tuple[float, LinkConfig, tuple[int, ...] | None]] = []
-        self._initial_down: tuple[str, ...] = ()
+        self._standing: list[ContinuousQuery] = []
 
     # -- membership & failure injection -------------------------------------------
 
@@ -689,21 +682,6 @@ class FederatedSystem(_RoutingCore):
     def proxy_names(self) -> list[str]:
         """All proxy names, cell order (wired first)."""
         return [meta.name for meta in self._cell_meta]
-
-    @property
-    def uses_partitions(self) -> bool:
-        """True when this run executes on independent simulation partitions."""
-        return self._partitions is not None
-
-    @property
-    def n_partitions(self) -> int:
-        """Resolved partition count (1 in legacy shared-kernel mode)."""
-        return self._partitions if self._partitions is not None else 1
-
-    def cell_for(self, proxy_name: str) -> FederatedCell:
-        """Lookup a federated cell by proxy name (legacy mode only —
-        partitioned runs build their cells inside the partitions)."""
-        return self._by_name[proxy_name]
 
     def owner_of(self, sensor: int) -> str:
         """Resolve the owning proxy of a global sensor id (skip-graph route)."""
@@ -783,12 +761,10 @@ class FederatedSystem(_RoutingCore):
     ) -> None:
         """Swap the radio link config of the targeted cells at *at_s*.
 
-        The partition-safe way to stage loss bursts: in legacy mode this
-        schedules directly on the shared kernel; in partitioned mode the
-        change is recorded and each partition replays it on its own kernel
-        (before any cell task is armed, so equal-time ordering matches a
-        pre-run schedule on the shared kernel).  ``cell_indices=None``
-        targets every cell.
+        The change is recorded and each partition replays it on its own
+        kernel before any cell task is armed, so it wins equal-time ties
+        against the cells' own events.  ``cell_indices=None`` targets
+        every cell.
         """
         at = self._fault_time(at_s)
         cells = tuple(int(c) for c in cell_indices) if cell_indices is not None else None
@@ -796,31 +772,31 @@ class FederatedSystem(_RoutingCore):
             for cell_id in cells:
                 if not 0 <= cell_id < self.federation.n_proxies:
                     raise ValueError(f"cell index {cell_id} out of range")
-        if self._partitions is None:
-            targets = [
-                fc.cell.network
-                for fc in self.cells
-                if cells is None or fc.cell_id in cells
-            ]
-            self.sim.schedule(
-                at,
-                lambda nets=targets, cfg=link_config: [
-                    net.set_link_config_all(cfg) for net in nets
-                ],
+        self._link_events.append((at, link_config, cells))
+
+    def arm_standing_query(self, query: ContinuousQuery) -> None:
+        """Register a standing query on global sensor ``query.sensor``.
+
+        The owning cell's proxy evaluates it from the start of :meth:`run`;
+        its firings land in :attr:`notifications`.
+        """
+        if not 0 <= query.sensor < self.trace.n_sensors:
+            raise ValueError(
+                f"standing query on sensor {query.sensor}; have "
+                f"{self.trace.n_sensors} sensors"
             )
-        else:
-            self._link_events.append((at, link_config, cells))
+        self._standing.append(query)
 
     # -- replication ----------------------------------------------------------------
 
     def replica_for(self, host: str, owner: str) -> ProxyReplica:
         """The replica of *owner* held at *host* (KeyError if not planned).
 
-        In partitioned mode replicas are owner-local to their partitions;
-        the inline backend absorbs them into this coordinator view at every
-        barrier, while the process backend does not ship them back at all
-        (answer content is unaffected — failovers are served inside the
-        owner's partition).
+        Replicas are owner-local to their partitions; the inline backend
+        absorbs them into this coordinator view after each partition runs,
+        while the process backend does not ship them back at all (answer
+        content is unaffected — failovers are served inside the owner's
+        partition).
         """
         return self._replicas[(host, owner)]
 
@@ -833,56 +809,137 @@ class FederatedSystem(_RoutingCore):
     ) -> FederatedReport:
         """Replay the trace across all cells, routing *queries* globally.
 
-        With ``FederationConfig.partitions`` set, cells execute on
-        independent per-partition kernels (queries pre-routed to their
-        owner's partition, faults replayed on every partition's directory
-        copy, replica syncs owner-local) and the per-partition logs are
-        merged back into the exact report a shared-kernel run produces.
+        Cells execute on independent per-partition kernels.  Every query is
+        pre-routed (hop-free flat map) to the partition that owns its
+        sensor, and the partition re-resolves ownership on its own
+        skip-graph copy.  Fault events are replayed on every partition's
+        directory copy at identical virtual times, which keeps liveness
+        consistent without mid-run communication; replica syncs are
+        owner-local.  The merged log is ordered by each query's global
+        firing rank — the (time, seq) order of one kernel holding every
+        query — so the report is identical at every partition count and
+        on both backends.
         """
         queries = queries or []
-        horizon = (
+        horizon = float(
             duration_s if duration_s is not None else self.trace.config.duration_s
         )
-        self._initial_down = tuple(
+        fed = self.federation
+        initial_down = tuple(
             meta.name
             for meta in self._cell_meta
             if not self.directory.proxy(meta.name).alive
         )
-        if self._partitions is not None:
-            report = self._run_partitioned(queries, float(horizon))
-            return self._attach_serving(report, float(horizon))
-        for fc in self.cells:
-            fc.cell.start_tasks()
-        sync_task = None
-        if self._syncs_state:
-            sync_task = PeriodicTask(
-                self.sim,
-                self.federation.replica_sync_interval_s,
-                self._sync_replicas,
-                start_offset=self.federation.replica_sync_interval_s,
-            )
-            sync_task.start()
-        for at_s, name in self._failures:
-            if at_s < horizon:
-                self.sim.schedule(at_s, lambda n=name: self.fail_proxy(n))
-        for at_s, name in self._recoveries:
-            if at_s < horizon:
-                self.sim.schedule(at_s, lambda n=name: self.recover_proxy(n))
-        for query in queries:
-            if query.arrival_time < horizon:
-                self.sim.schedule(
-                    query.arrival_time, lambda q=query: self.route_query(q)
+        assign = partition_cells(fed.n_proxies, self.n_partitions)
+        partition_of_sensor = [0] * self.trace.n_sensors
+        for p, cell_ids in enumerate(assign):
+            for cell_id in cell_ids:
+                for sensor in self.shards[cell_id]:
+                    partition_of_sensor[sensor] = p
+        routed: dict[int, list[tuple[int, Query]]] = {p: [] for p in range(len(assign))}
+        oob: list[tuple[int, Query, QueryAnswer]] = []
+        order = sorted(
+            range(len(queries)), key=lambda i: queries[i].arrival_time
+        )
+        position = 0
+        for i in order:
+            query = queries[i]
+            if query.arrival_time >= horizon:
+                continue
+            if not 0 <= query.sensor < self.trace.n_sensors:
+                # Unroutable before it ever reaches a partition — same
+                # answer route_query produces, logged at its firing rank.
+                answer = QueryAnswer(
+                    query=query,
+                    value=None,
+                    source=AnswerSource.FAILED,
+                    latency_s=0.0,
                 )
-        self.sim.run_until(horizon)
-        for fc in self.cells:
-            fc.cell.stop_tasks()
-        if sync_task is not None:
-            sync_task.stop()
-        for fc in self.cells:
-            fc.cell.finalise(horizon)
-        if self._fragments is not None:
-            self._coding.decodes = self._fragments.decodes
-        return self._attach_serving(self._report(horizon), float(horizon))
+                oob.append((position, query, answer))
+            else:
+                routed[partition_of_sensor[query.sensor]].append((position, query))
+            position += 1
+        context = _PartitionContext(
+            trace=self.trace,
+            config=self.config,
+            federation=fed,
+            seed=self.seed,
+            model_clocks=self.model_clocks,
+            clock_model=self.clock_model,
+            shards=[list(ids) for ids in self.shards],
+            cell_meta=list(self._cell_meta),
+            horizon=horizon,
+            failures=[(at, name) for at, name in self._failures if at < horizon],
+            recoveries=[(at, name) for at, name in self._recoveries if at < horizon],
+            initial_down=initial_down,
+            link_events=list(self._link_events),
+            standing=list(self._standing),
+        )
+        prerun_events = list(self.failover_events)
+        results: list[_PartitionResult] | None = None
+        if len(assign) > 1 and fed.partition_backend in ("auto", "process"):
+            results = self._run_process(context, assign, routed)
+        if results is None:
+            results = self._run_inline(context, assign, routed)
+        report = self._merge_partitions(horizon, results, oob, prerun_events)
+        return self._attach_serving(
+            report, horizon, initial_down, partition_of_sensor
+        )
+
+    def _run_inline(
+        self,
+        context: _PartitionContext,
+        assign: list[list[int]],
+        routed: dict[int, list[tuple[int, Query]]],
+    ) -> list[_PartitionResult]:
+        """In-process backend: run each partition to the horizon in turn.
+
+        Partitions never read each other's state, so running them one
+        after another gives the same results as the process pool.  Each
+        partition's replicas and fragments are absorbed into the
+        coordinator's view once it has finished.
+        """
+        results = []
+        for p, cell_ids in enumerate(assign):
+            part = _CellPartition(context, cell_ids, routed[p])
+            results.append(part.run())
+            self._replicas.update(part._replicas)
+            if self._fragments is not None and part._fragments is not None:
+                self._fragments.absorb(part._fragments)
+        return results
+
+    def _run_process(
+        self,
+        context: _PartitionContext,
+        assign: list[list[int]],
+        routed: dict[int, list[tuple[int, Query]]],
+    ) -> list[_PartitionResult] | None:
+        """Process-pool backend: one whole-horizon task per partition.
+
+        The shared context (trace included) ships once per worker via the
+        pool initializer; each task carries only its cell ids and
+        pre-routed queries.  Returns ``None`` on any pool failure so the
+        caller falls back to the inline backend — results are identical,
+        only wall-clock differs.
+        """
+        k = len(assign)
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(k, os.cpu_count() or 1),
+                initializer=_partition_pool_init,
+                initargs=(context,),
+            ) as pool:
+                futures = {
+                    pool.submit(_partition_pool_run, (cell_ids, routed[p])): p
+                    for p, cell_ids in enumerate(assign)
+                }
+                results: list[_PartitionResult | None] = [None] * k
+                for future in as_completed(futures):
+                    results[futures[future]] = future.result()
+            assert all(result is not None for result in results)
+            return results  # type: ignore[return-value]
+        except Exception:
+            return None
 
     def _failover_errors(
         self, truths: list[float | None]
@@ -905,25 +962,44 @@ class FederatedSystem(_RoutingCore):
             return float("nan"), float("nan")
         return float(np.mean(errors)), float(np.max(errors))
 
-    def _report(self, horizon: float) -> FederatedReport:
-        cell_reports = [fc.cell.report(horizon) for fc in self.cells]
-        packets = [
-            (fc.cell.network.packets_sent, fc.cell.network.packets_delivered)
-            for fc in self.cells
-        ]
-        return self._compose_report(horizon, cell_reports, packets)
-
-    def _compose_report(
+    def _merge_partitions(
         self,
         horizon: float,
-        cell_reports: list[SystemReport],
-        packets: list[tuple[int, int]],
+        results: list[_PartitionResult],
+        oob: list[tuple[int, Query, QueryAnswer]],
+        prerun_events: list[FailoverEvent],
     ) -> FederatedReport:
-        """Aggregate per-cell reports plus the routing log into one report.
+        """Fold partition results into coordinator state and one report.
 
-        ``cell_reports`` and ``packets`` are in cell order — produced
-        directly in legacy mode, merged from partition results otherwise.
+        Partitions hold contiguous ascending blocks of cells and *results*
+        is in partition order, so concatenating their per-cell lists gives
+        cell order.
         """
+        entries: list[tuple[int, Query, QueryAnswer, bool]] = [
+            (pos, query, answer, False) for pos, query, answer in oob
+        ]
+        for result in results:
+            entries.extend(result.log)
+        entries.sort(key=lambda entry: entry[0])
+        self._query_log = [(query, answer) for _, query, answer, _ in entries]
+        self._failover_positions = [
+            i for i, (_, _, _, is_failover) in enumerate(entries) if is_failover
+        ]
+        self.cross_proxy_hops += sum(r.cross_proxy_hops for r in results)
+        self.replica_hits += sum(r.replica_hits for r in results)
+        self.failovers += sum(r.failovers for r in results)
+        self.unroutable += sum(r.unroutable for r in results) + len(oob)
+        self.replica_syncs += sum(r.replica_syncs for r in results)
+        for result in results:
+            self._coding.absorb(result.coding)
+        fault_events = sorted(
+            (index, event) for result in results for index, event in result.fault_events
+        )
+        self.failover_events = prerun_events + [event for _, event in fault_events]
+        self.notifications = [pair for r in results for pair in r.notifications]
+        cell_reports = [report for r in results for report in r.cell_reports]
+        packets = [counts for r in results for counts in r.packets]
+
         answers = [answer for _, answer in self._query_log]
         truths = [ground_truth(self.trace, query) for query, _ in self._query_log]
         failover_mean_error, failover_max_error = self._failover_errors(truths)
@@ -1018,197 +1094,14 @@ class FederatedSystem(_RoutingCore):
             sync_flash_j=counters.shipped_bytes * profile.flash.write_energy_per_byte_j,
         )
 
-    # -- partitioned execution ------------------------------------------------------
-
-    def _run_partitioned(self, queries: list[Query], horizon: float) -> FederatedReport:
-        """Execute the run across independent per-partition kernels.
-
-        Every query is pre-routed (hop-free flat map) to the partition that
-        owns its sensor; the partition re-resolves ownership on its own
-        skip-graph copy — built from the same seeded stream, so structure
-        and hop counts match the shared-kernel run exactly.  Fault events
-        are replayed on every partition's directory copy at identical
-        virtual times, keeping liveness in lockstep without mid-run
-        communication.  The merged log is ordered by each query's global
-        firing rank, which reproduces the shared kernel's (time, seq)
-        order.
-        """
-        k = self._partitions
-        assert k is not None
-        fed = self.federation
-        failures = [(at, name) for at, name in self._failures if at < horizon]
-        recoveries = [(at, name) for at, name in self._recoveries if at < horizon]
-        assign = partition_cells(fed.n_proxies, k)
-        part_of_cell = {
-            cell_id: p for p, ids in enumerate(assign) for cell_id in ids
-        }
-        name_to_cell = {meta.name: meta.cell_id for meta in self._cell_meta}
-        routed: dict[int, list[tuple[int, Query]]] = {p: [] for p in range(k)}
-        oob: list[tuple[int, Query, QueryAnswer]] = []
-        order = sorted(
-            range(len(queries)), key=lambda i: queries[i].arrival_time
-        )
-        position = 0
-        for i in order:
-            query = queries[i]
-            if query.arrival_time >= horizon:
-                continue
-            if not 0 <= query.sensor < self.trace.n_sensors:
-                # Unroutable before it ever reaches a partition — same
-                # answer route_query produces, logged at its firing rank.
-                answer = QueryAnswer(
-                    query=query,
-                    value=None,
-                    source=AnswerSource.FAILED,
-                    latency_s=0.0,
-                )
-                oob.append((position, query, answer))
-            else:
-                owner = self._owner_map[query.sensor]
-                routed[part_of_cell[name_to_cell[owner]]].append((position, query))
-            position += 1
-        context = _PartitionContext(
-            trace=self.trace,
-            config=self.config,
-            federation=fed,
-            seed=self.seed,
-            model_clocks=self.model_clocks,
-            clock_model=self.clock_model,
-            shards=[list(ids) for ids in self.shards],
-            cell_meta=list(self._cell_meta),
-            horizon=horizon,
-            failures=failures,
-            recoveries=recoveries,
-            initial_down=self._initial_down,
-            link_events=list(self._link_events),
-        )
-        prerun_events = list(self.failover_events)
-        backend = fed.partition_backend
-        results: list[_PartitionResult] | None = None
-        if k > 1 and backend in ("auto", "process"):
-            results = self._run_process(context, assign, routed)
-        if results is None:
-            results = self._run_inline(context, assign, routed)
-        return self._merge_partitions(context, results, oob, prerun_events)
-
-    def _run_inline(
-        self,
-        context: _PartitionContext,
-        assign: list[list[int]],
-        routed: dict[int, list[tuple[int, Query]]],
-    ) -> list[_PartitionResult]:
-        """In-process backend: every partition kernel advances in lockstep.
-
-        Barrier points are the replica-sync cadence plus every fault
-        instant; at each barrier the coordinator absorbs the partitions'
-        replica stores into its own view — the explicit cross-partition
-        message exchange.
-        """
-        parts = [
-            _CellPartition(context, cell_ids, routed[p], self._update_ids)
-            for p, cell_ids in enumerate(assign)
-        ]
-        for part in parts:
-            part.setup()
-        instants = [at for at, _ in context.failures]
-        instants += [at for at, _ in context.recoveries]
-        interval = (
-            context.federation.replica_sync_interval_s
-            if any(part._syncs_state for part in parts)
-            else None
-        )
-        barriers = barrier_schedule(
-            context.horizon, interval=interval, instants=instants
-        )
-        group = LockstepGroup([part.sim for part in parts])
-
-        def absorb(_barrier: float) -> None:
-            for part in parts:
-                self._replicas.update(part._replicas)
-                if self._fragments is not None and part._fragments is not None:
-                    self._fragments.absorb(part._fragments)
-
-        group.run(barriers, on_barrier=absorb)
-        return [part.finish() for part in parts]
-
-    def _run_process(
-        self,
-        context: _PartitionContext,
-        assign: list[list[int]],
-        routed: dict[int, list[tuple[int, Query]]],
-    ) -> list[_PartitionResult] | None:
-        """Process-pool backend: one whole-horizon task per partition.
-
-        The shared context (trace included) ships once per worker via the
-        pool initializer; each task carries only its cell ids and
-        pre-routed queries.  Returns ``None`` on any pool failure so the
-        caller falls back to the inline backend — results are identical,
-        only wall-clock differs.
-        """
-        k = len(assign)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(k, os.cpu_count() or 1),
-                initializer=_partition_pool_init,
-                initargs=(context,),
-            ) as pool:
-                futures = {
-                    pool.submit(_partition_pool_run, (cell_ids, routed[p])): p
-                    for p, cell_ids in enumerate(assign)
-                }
-                results: list[_PartitionResult | None] = [None] * k
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-            assert all(result is not None for result in results)
-            return results  # type: ignore[return-value]
-        except Exception:
-            return None
-
-    def _merge_partitions(
-        self,
-        context: _PartitionContext,
-        results: list[_PartitionResult],
-        oob: list[tuple[int, Query, QueryAnswer]],
-        prerun_events: list[FailoverEvent],
-    ) -> FederatedReport:
-        """Fold partition results back into coordinator state and report."""
-        entries: list[tuple[int, Query, QueryAnswer, bool]] = [
-            (pos, query, answer, False) for pos, query, answer in oob
-        ]
-        for result in results:
-            entries.extend(result.log)
-        entries.sort(key=lambda entry: entry[0])
-        self._query_log = [(query, answer) for _, query, answer, _ in entries]
-        self._failover_positions = [
-            i for i, (_, _, _, is_failover) in enumerate(entries) if is_failover
-        ]
-        self.cross_proxy_hops += sum(r.cross_proxy_hops for r in results)
-        self.replica_hits += sum(r.replica_hits for r in results)
-        self.failovers += sum(r.failovers for r in results)
-        self.unroutable += sum(r.unroutable for r in results) + len(oob)
-        self.replica_syncs += sum(r.replica_syncs for r in results)
-        for result in results:
-            self._coding.absorb(result.coding)
-        fault_events = sorted(
-            (index, event) for result in results for index, event in result.fault_events
-        )
-        self.failover_events = prerun_events + [event for _, event in fault_events]
-        by_cell: dict[int, SystemReport] = {}
-        packets_by_cell: dict[int, tuple[int, int]] = {}
-        for result in results:
-            for cell_id, report in result.cell_reports:
-                by_cell[cell_id] = report
-            for cell_id, sent, delivered in result.packets:
-                packets_by_cell[cell_id] = (sent, delivered)
-        cell_ids = sorted(by_cell)
-        cell_reports = [by_cell[cell_id] for cell_id in cell_ids]
-        packets = [packets_by_cell[cell_id] for cell_id in cell_ids]
-        return self._compose_report(context.horizon, cell_reports, packets)
-
     # -- serving front-end ----------------------------------------------------------
 
     def _attach_serving(
-        self, report: FederatedReport, horizon: float
+        self,
+        report: FederatedReport,
+        horizon: float,
+        initial_down: tuple[str, ...],
+        partition_of_sensor: list[int],
     ) -> FederatedReport:
         """Run the query-serving front-end model against this run's topology.
 
@@ -1221,20 +1114,10 @@ class FederatedSystem(_RoutingCore):
         if self.serving is None:
             return report
         n = self.trace.n_sensors
-        k = self.n_partitions
-        assign = partition_cells(self.federation.n_proxies, k)
-        part_of_cell = {
-            cell_id: p for p, ids in enumerate(assign) for cell_id in ids
-        }
-        name_to_cell = {meta.name: meta.cell_id for meta in self._cell_meta}
         resp = {meta.name: meta.response_latency_s for meta in self._cell_meta}
         owner_names = [self._owner_map[sensor] for sensor in range(n)]
         hops = np.array(
             [self._owners.search(float(sensor)).hops for sensor in range(n)],
-            dtype=np.int64,
-        )
-        partition_of_sensor = np.array(
-            [part_of_cell[name_to_cell[name]] for name in owner_names],
             dtype=np.int64,
         )
 
@@ -1243,8 +1126,7 @@ class FederatedSystem(_RoutingCore):
         # proxy's response latency; with the owner dead it is served by the
         # lowest-latency live replica host, or not at all.
         alive = {
-            meta.name: meta.name not in self._initial_down
-            for meta in self._cell_meta
+            meta.name: meta.name not in initial_down for meta in self._cell_meta
         }
         proc = self.config.proxy_processing_s
         hop_latency = self.federation.hop_latency_s
@@ -1307,8 +1189,8 @@ class FederatedSystem(_RoutingCore):
         frontend = ServingFrontend(
             config=self.serving,
             n_sensors=n,
-            n_partitions=k,
-            partition_of_sensor=partition_of_sensor,
+            n_partitions=self.n_partitions,
+            partition_of_sensor=np.array(partition_of_sensor, dtype=np.int64),
             segments=segments,
             rng=self.streams.get("serving.traffic"),
         )
@@ -1320,8 +1202,8 @@ class FederatedSystem(_RoutingCore):
 class _PartitionContext:
     """Everything a partition needs besides its own cell ids and queries.
 
-    Shipped once per pool worker (the trace dominates the payload, exactly
-    like PR 6's campaign pool) and shared read-only by the inline backend.
+    Shipped once per pool worker (the trace dominates the payload) and
+    shared read-only by the inline backend.
     """
 
     trace: TraceSet
@@ -1337,6 +1219,7 @@ class _PartitionContext:
     recoveries: list[tuple[float, str]]
     initial_down: tuple[str, ...]
     link_events: list[tuple[float, LinkConfig, tuple[int, ...] | None]]
+    standing: list[ContinuousQuery]         # global sensor ids
 
 
 @dataclass
@@ -1351,8 +1234,9 @@ class _PartitionResult:
     unroutable: int
     replica_syncs: int
     coding: CodingCounters
-    cell_reports: list[tuple[int, SystemReport]]
-    packets: list[tuple[int, int, int]]               # (cell_id, sent, delivered)
+    cell_reports: list[SystemReport]                  # cell order
+    packets: list[tuple[int, int]]                    # (sent, delivered), cell order
+    notifications: list[tuple[int, Notification]]     # (global sensor, n), cell order
 
 
 class _CellPartition(_RoutingCore):
@@ -1362,10 +1246,11 @@ class _CellPartition(_RoutingCore):
     graph, replication plan) so routing and failover resolve locally, but
     builds and advances only its own cells.  The fault timeline is replayed
     on the local directory copy at exact virtual times, which keeps
-    liveness in lockstep with every other partition without mid-run
+    liveness consistent with every other partition without mid-run
     communication; the partition owning a dying cell additionally records
     the :class:`FailoverEvent` (its replicas are local, so the staleness it
-    measures is exact).
+    measures is exact).  Model-update ids come from the partition's own
+    counter, drawn in event order over its cells.
     """
 
     def __init__(
@@ -1373,7 +1258,6 @@ class _CellPartition(_RoutingCore):
         context: _PartitionContext,
         cell_ids: list[int],
         queries: list[tuple[int, Query]],
-        update_ids: Iterator[int],
     ) -> None:
         self.context = context
         self.trace = context.trace
@@ -1384,9 +1268,7 @@ class _CellPartition(_RoutingCore):
             config=context.config,
             model_clocks=context.model_clocks,
             clock_model=context.clock_model,
-            update_ids=update_ids,
         )
-        builder.config = context.config
         self.cells: list[FederatedCell] = []
         for cell_id in cell_ids:
             ids = context.shards[cell_id]
@@ -1396,74 +1278,41 @@ class _CellPartition(_RoutingCore):
                 RandomStreams(seed=context.seed + cell_id),
                 proxy_name=f"proxy{cell_id}",
             )
-            meta = context.cell_meta[cell_id]
             self.cells.append(
-                FederatedCell(
-                    cell_id=cell_id,
-                    cell=cell,
-                    sensor_ids=list(ids),
-                    wired=meta.wired,
-                    response_latency_s=meta.response_latency_s,
-                )
+                FederatedCell(cell_id=cell_id, cell=cell, sensor_ids=list(ids))
             )
         self._by_name = {fc.name: fc for fc in self.cells}
 
-        self.directory = CacheDirectory(
-            replication_factor=context.federation.replication_factor
-        )
-        for meta in context.cell_meta:
-            self.directory.register_proxy(
-                meta.name, wired=meta.wired, response_latency_s=meta.response_latency_s
-            )
-            self.directory.publish_cache(
-                meta.name, set(context.shards[meta.cell_id])
-            )
-        self._coding = CodingCounters()
+        # Each partition keeps only its *local* owners' share of the plan:
+        # it is the one syncing their replicas and reconstructing their
+        # stripes.
         fed = context.federation
+        self.directory, full_plan = _plan_directory(
+            fed, context.cell_meta, context.shards
+        )
+        self.replication_plan = {
+            owner: hosts
+            for owner, hosts in full_plan.items()
+            if owner in self._by_name
+        }
+        self._coding = CodingCounters()
+        self._replicas: dict[tuple[str, str], ProxyReplica] = {}
+        self._fragments: FragmentStore | None = None
         if fed.replica_coding == "rs":
-            # Fragment placement mirrors the coordinator's plan (same
-            # directory state, same deterministic spread); each partition
-            # keeps only its *local* owners' slots — it is the one syncing
-            # and reconstructing their stripes.
-            full_plan = self.directory.plan_fragment_placement(
-                fed.coding_k, fed.coding_n
-            )
-            self.replication_plan = {
-                owner: hosts
-                for owner, hosts in full_plan.items()
-                if owner in self._by_name
-            }
-            self._replicas: dict[tuple[str, str], ProxyReplica] = {}
-            self._fragments: FragmentStore | None = FragmentStore(
+            self._fragments = FragmentStore(
                 fed.coding_k, fed.coding_n, self.replication_plan
             )
         else:
-            full_plan = self.directory.plan_replication()
-            self.replication_plan = {
-                owner: hosts
-                for owner, hosts in full_plan.items()
-                if owner in self._by_name
-            }
             self._replicas = {
                 (host, owner): ProxyReplica(owner=owner, host=host)
                 for owner, hosts in self.replication_plan.items()
                 for host in hosts
             }
-            self._fragments = None
         for name in context.initial_down:
             self.directory.mark_down(name)
-
-        owner_of = {
-            sensor: context.cell_meta[cell_id].name
-            for cell_id, ids in enumerate(context.shards)
-            for sensor in ids
-        }
-        self._owners = SkipGraph(
-            rng=RandomStreams(seed=context.seed).get("federation.skipgraph")
+        self._owner_map, self._owners = _ownership(
+            context.shards, context.cell_meta, context.seed
         )
-        for sensor in range(context.trace.n_sensors):
-            if sensor == 0 or owner_of[sensor] != owner_of[sensor - 1]:
-                self._owners.insert(float(sensor), owner_of[sensor])
 
         self.cross_proxy_hops = 0
         self.replica_hits = 0
@@ -1476,16 +1325,28 @@ class _CellPartition(_RoutingCore):
         self._queries = queries
         self._sync_task: PeriodicTask | None = None
 
-    def setup(self) -> None:
-        """Arm the partition's event queue, mirroring the legacy schedule order.
+    def run(self) -> _PartitionResult:
+        """Run the partition over the whole horizon and package its result."""
+        self.setup()
+        self.sim.run_until(self.context.horizon)
+        return self.finish()
 
-        Link changes first (the shared-kernel harness stages bursts before
-        ``run()``), then cell tasks, then the replica-sync cadence, then
-        the fault timeline, then the partition's pre-routed queries — so
-        equal-time ties fire in the same relative order as on one shared
-        kernel.
+    def setup(self) -> None:
+        """Arm standing queries and the partition's event queue.
+
+        Standing queries are registered first, before any cell task runs.
+        Events are armed as link changes first (so a staged burst wins
+        equal-time ties), then cell tasks, then the replica-sync cadence,
+        then the fault timeline, then the partition's pre-routed queries —
+        the same relative order at every partition count.
         """
         context = self.context
+        for query in context.standing:
+            fc = self._by_name.get(self._owner_map[query.sensor])
+            if fc is not None:
+                fc.cell.proxy.continuous.register(
+                    dataclasses.replace(query, sensor=fc.to_local(query.sensor))
+                )
         for at_s, link_config, cell_indices in context.link_events:
             networks = [
                 fc.cell.network
@@ -1561,16 +1422,15 @@ class _CellPartition(_RoutingCore):
             unroutable=self.unroutable,
             replica_syncs=self.replica_syncs,
             coding=self._coding,
-            cell_reports=[
-                (fc.cell_id, fc.cell.report(horizon)) for fc in self.cells
-            ],
+            cell_reports=[fc.cell.report(horizon) for fc in self.cells],
             packets=[
-                (
-                    fc.cell_id,
-                    fc.cell.network.packets_sent,
-                    fc.cell.network.packets_delivered,
-                )
+                (fc.cell.network.packets_sent, fc.cell.network.packets_delivered)
                 for fc in self.cells
+            ],
+            notifications=[
+                (fc.to_global(notification.sensor), notification)
+                for fc in self.cells
+                for notification in fc.cell.proxy.continuous.notifications
             ],
         )
 
@@ -1586,9 +1446,5 @@ def _partition_pool_init(context: _PartitionContext) -> None:
 def _partition_pool_run(
     task: tuple[list[int], list[tuple[int, Query]]],
 ) -> _PartitionResult:
-    context = _PARTITION_POOL_STATE["context"]
     cell_ids, queries = task
-    partition = _CellPartition(context, cell_ids, queries, itertools.count())
-    partition.setup()
-    partition.sim.run_until(context.horizon)
-    return partition.finish()
+    return _CellPartition(_PARTITION_POOL_STATE["context"], cell_ids, queries).run()

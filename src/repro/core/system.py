@@ -476,7 +476,7 @@ class CellBuilder:
     config: PrestoConfig | None = None
     model_clocks: bool = False
     clock_model: ClockModel | None = field(default=None)
-    update_ids: Iterator[int] = field(default_factory=itertools.count)
+    update_ids: Iterator[int] = field(default_factory=itertools.count, init=False)
 
     def resolve_config(self, trace: TraceSet) -> PrestoConfig:
         """The PRESTO config to use for *trace* (defaults to its epoch)."""

@@ -933,6 +933,8 @@ class CampaignRunner:
             drift_random_walk=spec.clocks.drift_random_walk,
         )
         faults_applied = 0
+        standing = self._standing_queries(spec, base)
+        steps, burst_cells = self._burst_steps(spec, harness)
         if harness == "single":
             system = PrestoSystem(
                 trace,
@@ -941,9 +943,14 @@ class CampaignRunner:
                 model_clocks=spec.clocks.model_clocks,
                 clock_model=clock_model,
             )
-            proxies = [(system.proxy, lambda local: local)]
             shards = None
-            networks = [system.network]
+            for query in standing:
+                system.proxy.continuous.register(query)
+            network = system.network
+            for at_s, link_config in steps:
+                system.sim.schedule(
+                    at_s, lambda link=link_config: network.set_link_config(link)
+                )
         else:
             system = FederatedSystem(
                 trace,
@@ -954,26 +961,21 @@ class CampaignRunner:
                 clock_model=clock_model,
                 serving=self._serving_config(spec),
             )
-            if system.uses_partitions and spec.standing is not None:
-                raise ValueError(
-                    f"scenario {spec.name!r} arms standing queries, which "
-                    "need the shared-kernel federation; unset "
-                    "federation.partitions"
-                )
-            proxies = [
-                (fc.cell.proxy, fc.to_global) for fc in system.cells
-            ]
             shards = system.shards
-            networks = [fc.cell.network for fc in system.cells]
             faults_applied = self._schedule_faults(spec, system)
-        armed = self._arm_standing_queries(spec, base, proxies)
-        if harness == "federated" and system.uses_partitions:
-            bursts = self._schedule_partitioned_bursts(spec, system)
-        else:
-            bursts = self._schedule_bursts(spec, system.sim, networks)
+            for query in standing:
+                system.arm_standing_query(query)
+            for at_s, link_config in steps:
+                system.schedule_link_change(at_s, link_config, burst_cells)
         queries = self._generate_queries(spec, trace, shards, seed)
         report = system.run(queries=queries, duration_s=cfg.duration_s)
-        notifications = self._collect_notifications(proxies) if armed else []
+        if harness == "single":
+            notifications = [
+                (notification.sensor, notification)
+                for notification in system.proxy.continuous.notifications
+            ]
+        else:
+            notifications = system.notifications
         recall, qualifying, worst_latency = self._notification_recall(
             spec, events, notifications
         )
@@ -988,7 +990,7 @@ class CampaignRunner:
             notifications=len(notifications),
             notification_recall=recall,
             worst_notification_latency_s=worst_latency,
-            bursts_scheduled=bursts,
+            bursts_scheduled=len(steps) // 2,
             faults_applied=faults_applied,
             replica_staleness_s=tuple(getattr(report, "fault_staleness_s", ())),
             wall_clock_s=time.perf_counter() - started,
@@ -1268,65 +1270,24 @@ class CampaignRunner:
                 system.schedule_recovery(name, at_s)
         return len(spec.faults)
 
-    def _schedule_bursts(self, spec: ScenarioSpec, sim, networks) -> int:
-        """Schedule interference bursts: elevated loss for burst_duration_s.
+    def _burst_steps(
+        self, spec: ScenarioSpec, harness: str
+    ) -> tuple[list[tuple[float, LinkConfig]], list[int] | None]:
+        """Interference bursts as link-config steps, plus the target cells.
 
-        With ``cell_indices`` set, only the addressed cells' networks flip
-        — correlated regional loss, the siblings keeping their regime.
-        Indices must resolve on every harness the campaign runs; negative
-        indices address the wireless tail of the cell list and resolve
-        portably (``-1`` is the whole deployment on the single-cell
-        harness, the last wireless cell on the federated one).
+        Each burst contributes two steps, elevated loss at its start and
+        the normal regime at its end.  With ``cell_indices`` set, only the
+        addressed cells flip — correlated regional loss, the siblings
+        keeping their regime; ``None`` targets every cell.  Indices must
+        resolve on every harness the campaign runs; negative indices
+        address the wireless tail of the cell list and resolve portably
+        (``-1`` is the whole deployment on the single-cell harness, the
+        last wireless cell on the federated one).
         """
         radio = spec.radio
         if radio.burst_loss_probability is None:
-            return 0
-        if radio.cell_indices:
-            n_cells = len(networks)
-            for index in radio.cell_indices:
-                if not -n_cells <= index < n_cells:
-                    raise ValueError(
-                        f"burst cell index {index} out of range for "
-                        f"{n_cells} cells"
-                    )
-            targets = [networks[index] for index in radio.cell_indices]
-        else:
-            targets = list(networks)
-        normal = LinkConfig(loss_probability=radio.loss_probability)
-        burst = LinkConfig(loss_probability=radio.burst_loss_probability)
-
-        def apply():
-            for network in targets:
-                network.set_link_config(burst)
-
-        def restore():
-            for network in targets:
-                network.set_link_config(normal)
-
-        count = 0
-        start = radio.burst_period_s
-        while start < self.config.duration_s:
-            end = min(start + radio.burst_duration_s, self.config.duration_s)
-            sim.schedule(start, apply)
-            sim.schedule(end, restore)
-            count += 1
-            start += radio.burst_period_s
-        return count
-
-    def _schedule_partitioned_bursts(
-        self, spec: ScenarioSpec, system: FederatedSystem
-    ) -> int:
-        """Interference bursts on the partitioned federation.
-
-        Partition kernels replay link events locally, so bursts route
-        through :meth:`FederatedSystem.schedule_link_change` instead of
-        closing over shared network objects (which a partitioned system
-        never builds).
-        """
-        radio = spec.radio
-        if radio.burst_loss_probability is None:
-            return 0
-        n_cells = len(system.proxy_names)
+            return [], None
+        n_cells = 1 if harness == "single" else self.config.n_proxies
         targets: list[int] | None = None
         if radio.cell_indices:
             for index in radio.cell_indices:
@@ -1338,37 +1299,30 @@ class CampaignRunner:
             targets = [index % n_cells for index in radio.cell_indices]
         normal = LinkConfig(loss_probability=radio.loss_probability)
         burst = LinkConfig(loss_probability=radio.burst_loss_probability)
-        count = 0
+        steps: list[tuple[float, LinkConfig]] = []
         start = radio.burst_period_s
         while start < self.config.duration_s:
             end = min(start + radio.burst_duration_s, self.config.duration_s)
-            system.schedule_link_change(start, burst, targets)
-            system.schedule_link_change(end, normal, targets)
-            count += 1
+            steps += [(start, burst), (end, normal)]
             start += radio.burst_period_s
-        return count
+        return steps, targets
 
-    def _arm_standing_queries(self, spec: ScenarioSpec, base: TraceSet, proxies) -> int:
-        """Register the spec's standing query on every sensor; returns count."""
+    def _standing_queries(
+        self, spec: ScenarioSpec, base: TraceSet
+    ) -> list[ContinuousQuery]:
+        """The spec's standing query on every sensor (global ids, in order)."""
         standing = spec.standing
         if standing is None:
-            return 0
-        armed = 0
-        for proxy, to_global in proxies:
-            for local in range(proxy.n_sensors):
-                threshold = self._threshold_for(
-                    standing, base, int(to_global(local))
-                )
-                proxy.continuous.register(
-                    ContinuousQuery(
-                        sensor=local,
-                        kind=standing.kind,
-                        threshold=threshold,
-                        min_interval_s=standing.min_interval_s,
-                    )
-                )
-                armed += 1
-        return armed
+            return []
+        return [
+            ContinuousQuery(
+                sensor=sensor,
+                kind=standing.kind,
+                threshold=self._threshold_for(standing, base, sensor),
+                min_interval_s=standing.min_interval_s,
+            )
+            for sensor in range(base.n_sensors)
+        ]
 
     @staticmethod
     def _threshold_for(
@@ -1381,15 +1335,6 @@ class CampaignRunner:
         if standing.kind is TriggerKind.ABOVE:
             return baseline + standing.threshold_offset
         return baseline - standing.threshold_offset
-
-    @staticmethod
-    def _collect_notifications(proxies) -> list[tuple[int, Notification]]:
-        """All (global_sensor, notification) pairs across the cells."""
-        collected: list[tuple[int, Notification]] = []
-        for proxy, to_global in proxies:
-            for notification in proxy.continuous.notifications:
-                collected.append((int(to_global(notification.sensor)), notification))
-        return collected
 
     def _notification_recall(
         self,

@@ -147,6 +147,11 @@ class TestSingleProxyEquivalence:
         assert federated.failovers == 0
 
 
+def shard_of(system, proxy_name):
+    """The global sensor ids *proxy_name* owns."""
+    return set(system.shards[system.proxy_names.index(proxy_name)])
+
+
 @pytest.fixture(scope="module")
 def federated_run():
     """4 proxies (2 wired / 2 wireless), rf=1, wireless proxy3 killed at 60%."""
@@ -174,9 +179,10 @@ def federated_run():
 class TestRouting:
     def test_skipgraph_resolves_every_owner(self, federated_run):
         system, _, _ = federated_run
-        for fc in system.cells:
-            for sensor in fc.sensor_ids:
-                assert system.owner_of(sensor) == fc.name
+        assert len(system.shards) == 4
+        for name, shard in zip(system.proxy_names, system.shards):
+            for sensor in shard:
+                assert system.owner_of(sensor) == name
 
     def test_round_robin_ownership(self):
         trace = make_trace(n_sensors=6, duration_s=3600.0)
@@ -219,20 +225,20 @@ class TestFailover:
         assert set(plan) == {"proxy2", "proxy3"}
         for targets in plan.values():
             assert len(targets) == 1
-            assert system.cell_for(targets[0]).wired
+            assert system.directory.proxy(targets[0]).wired
 
     def test_replicas_synced_before_failure(self, federated_run):
         system, report, _ = federated_run
         assert report.replica_syncs > 0
         host = system.replication_plan["proxy3"][0]
         replica = system.replica_for(host, "proxy3")
-        assert set(replica.sensors) == set(system.cell_for("proxy3").sensor_ids)
+        assert set(replica.sensors) == shard_of(system, "proxy3")
         for state in replica.sensors.values():
             assert state.entries
 
     def test_dead_shard_keeps_answering(self, federated_run):
         system, report, kill_at = federated_run
-        dead = set(system.cell_for("proxy3").sensor_ids)
+        dead = shard_of(system, "proxy3")
         post = [
             a
             for a in report.answers
@@ -245,7 +251,7 @@ class TestFailover:
 
     def test_live_shards_unaffected(self, federated_run):
         system, report, kill_at = federated_run
-        dead = set(system.cell_for("proxy3").sensor_ids)
+        dead = shard_of(system, "proxy3")
         live = [a for a in report.answers if a.query.sensor not in dead]
         assert np.mean([a.answered for a in live]) > 0.95
 
@@ -268,7 +274,7 @@ class TestFailover:
         kill_at = 0.5 * trace.config.duration_s
         system.schedule_failure("proxy2", kill_at)
         report = system.run(queries=queries)
-        dead = set(system.cell_for("proxy2").sensor_ids)
+        dead = shard_of(system, "proxy2")
         post = [
             a
             for a in report.answers
@@ -297,8 +303,8 @@ class TestFederatedReport:
 
     def test_per_sensor_energy_in_global_order(self, federated_run):
         system, report, _ = federated_run
-        for fc, cell_report in zip(system.cells, report.cell_reports):
-            for local, global_id in enumerate(fc.sensor_ids):
+        for shard, cell_report in zip(system.shards, report.cell_reports):
+            for local, global_id in enumerate(shard):
                 assert report.per_sensor_energy_j[global_id] == pytest.approx(
                     cell_report.per_sensor_energy_j[local]
                 )

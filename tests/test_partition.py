@@ -1,25 +1,30 @@
-"""Partitioned federation: equivalence with the shared kernel, pinned.
+"""Partitioned federation: every partition count reproduces one pinned run.
 
 The contract mirrors ``tests/test_parallel_campaign.py``: splitting a
 federated run across independent simulation partitions is an execution
 detail, so the ``FederatedReport`` routing/failover/fidelity numbers must
 be *identical* — not approximately equal — at every partition count and on
 both partition backends.
+
+The reference is pinned as SHA-256 digests of ``repr`` of each key.  They
+were recorded on the shared-kernel federation (every cell on one
+simulator), which the partitioned runs matched bit for bit, just before
+that kernel was removed; the partitioned kernel must keep reproducing it.
 """
+
+import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from repro.analysis.runtime import canonical_rows
 from repro.core.config import FederationConfig, PrestoConfig
 from repro.core.federation import FederatedSystem, partition_cells
 from repro.radio.link import LinkConfig
+from repro.scenarios import CampaignRunner
 from repro.serving import ServingConfig
-from repro.simulation.kernel import (
-    LockstepGroup,
-    SimulationError,
-    Simulator,
-    barrier_schedule,
-)
 from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 from repro.traces.workload import QueryWorkloadConfig, ShardedWorkloadGenerator
 
@@ -105,23 +110,69 @@ def report_key(report):
     )
 
 
+def digest(key):
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+#: ``digest(report_key(run_federated(...)))`` of the shared-kernel run
+REFERENCE_DIGEST = "ff01b46830b1856f7e0df0282f7fd27173fd87249c3da81fb4614fd01571ed1c"
+
+#: ``sha256(canonical_rows(name, jobs=1))`` of the shared-kernel campaign,
+#: whose federated rows recorded ``n_partitions`` 1.0; both scenarios arm
+#: standing queries, and adversarial timing stages loss bursts
+SCENARIO_ROWS_DIGESTS = {
+    "event storm": "7792702a0a84fc71a9df8ecb111b6e961723e9a2f6b215c2bab6d25e75c6c896",
+    "adversarial timing": "6f9eb0285d3a2274b5486c20f3aefd5f3d8b985d06c9fcf998eb630de6533c1a",
+}
+
+
 class TestPartitionEquivalence:
-    @pytest.fixture(scope="class")
-    def legacy_key(self):
-        return report_key(run_federated(None))
-
     @pytest.mark.parametrize("partitions", [1, 2, 4])
-    def test_partition_counts_match_shared_kernel(self, legacy_key, partitions):
-        assert report_key(run_federated(partitions)) == legacy_key
+    def test_partition_counts_match_shared_kernel(self, partitions):
+        assert digest(report_key(run_federated(partitions))) == REFERENCE_DIGEST
 
-    def test_process_backend_matches_shared_kernel(self, legacy_key):
+    def test_process_backend_matches_shared_kernel(self):
         report = run_federated(4, backend="process")
-        assert report_key(report) == legacy_key
+        assert digest(report_key(report)) == REFERENCE_DIGEST
 
     def test_partitioned_report_records_partition_count(self):
         report = run_federated(2)
         assert report.n_partitions == 2
-        assert run_federated(None).n_partitions == 1
+        assert run_federated(1).n_partitions == 1
+
+    def test_none_partitions_rejected(self):
+        with pytest.raises(ValueError, match="partitions"):
+            FederationConfig(partitions=None)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_ROWS_DIGESTS))
+    @pytest.mark.parametrize(
+        "partitions, backend", [(1, "inline"), (2, "inline"), (2, "process")]
+    )
+    def test_scenario_rows_match_shared_kernel(
+        self, monkeypatch, scenario, partitions, backend
+    ):
+        # The smoke campaign federates 2 proxies, so 2 partitions is the
+        # most it can split into.
+        configure = CampaignRunner._federation_config
+
+        def partitioned(runner, spec):
+            return dataclasses.replace(
+                configure(runner, spec),
+                partitions=partitions,
+                partition_backend=backend,
+            )
+
+        monkeypatch.setattr(CampaignRunner, "_federation_config", partitioned)
+        rows = json.loads(canonical_rows(scenario, jobs=1))
+        federated = [row for row in rows if row["harness"] == "federated"]
+        assert federated
+        for row in federated:
+            assert row["n_partitions"] == partitions
+            row["n_partitions"] = 1.0
+        text = json.dumps(rows, sort_keys=True, indent=None, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            SCENARIO_ROWS_DIGESTS[scenario]
+        )
 
     def test_partition_cells_contiguous_and_total(self):
         assign = partition_cells(10, 3)
@@ -152,19 +203,19 @@ class TestCodedSyncAccounting:
 
     @pytest.mark.parametrize("replica_coding", ["full", "rs"])
     def test_sync_joules_match_across_partitioning(self, replica_coding):
-        legacy = run_federated(None, replica_coding=replica_coding).coding
+        whole = run_federated(1, replica_coding=replica_coding).coding
         split = run_federated(2, replica_coding=replica_coding).coding
-        assert legacy.mode == split.mode == replica_coding
+        assert whole.mode == split.mode == replica_coding
         for field in self.CODING_FIELDS:
-            assert getattr(split, field) == getattr(legacy, field), field
-        assert legacy.shipped_bytes > 0
-        assert legacy.sync_radio_j > 0
-        assert legacy.sync_flash_j > 0
+            assert getattr(split, field) == getattr(whole, field), field
+        assert whole.shipped_bytes > 0
+        assert whole.sync_radio_j > 0
+        assert whole.sync_flash_j > 0
 
     def test_full_mode_ledger_is_identity(self):
         # In full mode the counterfactual equals what was shipped: the
         # savings fraction reads 0 and the ledger is a pure byte meter.
-        coding = run_federated(None).coding
+        coding = run_federated(1).coding
         assert coding.shipped_bytes == coding.full_copy_bytes
         assert coding.bytes_saved_fraction == 0.0
 
@@ -220,40 +271,15 @@ class TestServingDeterminism:
         assert heavy.utilization > light.utilization
 
 
-class TestLockstepKernel:
-    def test_barrier_schedule_merges_interval_and_instants(self):
-        barriers = barrier_schedule(10.0, interval=4.0, instants=(3.0, 12.0, 0.0))
-        assert barriers == [3.0, 4.0, 8.0, 10.0]
-
-    def test_barrier_schedule_rejects_bad_inputs(self):
-        with pytest.raises(SimulationError):
-            barrier_schedule(0.0)
-        with pytest.raises(SimulationError):
-            barrier_schedule(10.0, interval=-1.0)
-
-    def test_lockstep_group_advances_members_together(self):
-        sims = [Simulator(), Simulator()]
-        seen = []
-        sims[0].schedule(2.0, lambda: seen.append("a@2"))
-        sims[1].schedule(5.0, lambda: seen.append("b@5"))
-        observed = []
-        group = LockstepGroup(sims)
-        group.run([4.0, 6.0], on_barrier=lambda t: observed.append((t, tuple(s.now for s in sims))))
-        assert seen == ["a@2", "b@5"]
-        assert observed == [(4.0, (4.0, 4.0)), (6.0, (6.0, 6.0))]
-
-    def test_lockstep_group_rejects_unsorted_barriers(self):
-        group = LockstepGroup([Simulator()])
-        with pytest.raises(SimulationError):
-            group.run([5.0, 5.0])
-
-
 class TestFaultTimeValidation:
-    """Fault times are checked when scheduled, identically on both kernels."""
+    """Fault times are checked when scheduled, whatever the partitioning."""
 
     def make_system(self, partitions):
+        # partitions=None leaves the config default
         federation = FederationConfig(
-            n_proxies=4, replication_factor=1, partitions=partitions
+            n_proxies=4,
+            replication_factor=1,
+            **({} if partitions is None else {"partitions": partitions}),
         )
         return FederatedSystem(
             make_trace(), config=fast_config(), federation=federation, seed=3

@@ -502,10 +502,19 @@ class TestRegionalLoss:
                 cell_indices=(1,),
             ),
         )
+        steps, targets = runner._burst_steps(spec, "federated")
+        assert targets == [1]
+        # bursts at 7200, 14400, 21600, each restored 1800 s later
+        assert [at_s for at_s, _ in steps] == [
+            7200.0, 9000.0, 14400.0, 16200.0, 21600.0, 23400.0,
+        ]
         sim = Simulator()
         networks = [_cell_network(sim, 0, 0.1), _cell_network(sim, 1, 0.1)]
-        count = runner._schedule_bursts(spec, sim, networks)
-        assert count == 3  # bursts at 7200, 14400, 21600
+        for at_s, link_config in steps:
+            for cell in targets:
+                sim.schedule(
+                    at_s, lambda n=networks[cell], c=link_config: n.set_link_config(c)
+                )
         sim.run_until(8000.0)  # inside the first burst (7200..9000)
         assert networks[1].mac_for("s1").link_config.loss_probability == 0.9
         assert networks[0].mac_for("s0").link_config.loss_probability == 0.1
@@ -521,10 +530,8 @@ class TestRegionalLoss:
                 burst_loss_probability=0.9, cell_indices=(2,)
             ),
         )
-        sim = Simulator()
-        networks = [_cell_network(sim, 0, 0.1), _cell_network(sim, 1, 0.1)]
         with pytest.raises(ValueError, match="out of range"):
-            runner._schedule_bursts(spec, sim, networks)
+            runner._burst_steps(spec, "federated")
 
     def test_negative_index_resolves_on_both_harnesses(self, adverse_campaign):
         """cell_indices=(-1,) addresses the only cell single-cell-side and

@@ -5,6 +5,9 @@ import dataclasses
 
 import pytest
 
+from repro.core.config import FederationConfig, PrestoConfig
+from repro.core.continuous import ContinuousQuery, TriggerKind
+from repro.core.federation import FederatedSystem
 from repro.scenarios import (
     DEFAULT_CAMPAIGN,
     CampaignConfig,
@@ -15,12 +18,12 @@ from repro.scenarios import (
     RadioRegime,
     ScenarioSpec,
     ServingRegime,
-    StandingQuerySpec,
     SweepAxis,
     all_scenarios,
     builtin_scenarios,
     extended_scenarios,
 )
+from repro.traces.intel_lab import IntelLabConfig, IntelLabGenerator
 
 
 def small_config(**overrides):
@@ -185,15 +188,35 @@ class TestServingWiring:
         single = runner.run_one(spec, "single").row()
         assert "serving_queries" not in single
 
-    def test_standing_queries_need_shared_kernel(self):
-        spec = ScenarioSpec(
-            name="bad",
-            federation=FederationRegime(partitions=2),
-            standing=StandingQuerySpec(),
-        )
-        runner = CampaignRunner(small_config())
-        with pytest.raises(ValueError, match="standing"):
-            runner.run_one(spec, "federated")
+    def test_standing_queries_match_across_partitions(self):
+        trace = IntelLabGenerator(
+            IntelLabConfig(n_sensors=4, duration_s=0.3 * 86_400.0, epoch_s=31.0),
+            seed=3,
+        ).generate()
+        # One query object per sensor, shared by every run, so query ids agree.
+        standing = [
+            ContinuousQuery(sensor=sensor, kind=TriggerKind.DELTA, threshold=0.2)
+            for sensor in range(trace.n_sensors)
+        ]
+
+        def notifications(partitions, backend):
+            system = FederatedSystem(
+                trace,
+                PrestoConfig(sample_period_s=31.0),
+                FederationConfig(
+                    n_proxies=2, partitions=partitions, partition_backend=backend
+                ),
+                seed=5,
+            )
+            for query in standing:
+                system.arm_standing_query(query)
+            system.run()
+            return system.notifications
+
+        whole = notifications(1, "inline")
+        assert {sensor for sensor, _ in whole} == set(range(trace.n_sensors))
+        assert notifications(2, "inline") == whole
+        assert notifications(2, "process") == whole
 
     def test_partitioned_bursts_fire(self):
         spec = ScenarioSpec(
